@@ -9,7 +9,7 @@
 //! restored and no kernel view can outlive the run.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -152,34 +152,38 @@ impl Executor {
 
         let record_slots: Vec<Mutex<Option<ExecRecord>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
+        let poisoned = AtomicBool::new(false);
 
-        std::thread::scope(|scope| {
-            for worker in workers {
-                let injector = &injector;
-                let stealers = &stealers;
-                let indegree = &indegree;
-                let remaining = &remaining;
-                let idle = &idle;
-                let record_slots = &record_slots;
-                let checker = checker.as_ref();
-                let hooks = Arc::clone(&self.hooks);
-                scope.spawn(move || {
-                    worker_loop(WorkerEnv {
+        // A task that panics never decrements `remaining`: the panicking
+        // worker's drop guard sets `poisoned` so its siblings stop
+        // instead of parking forever, and the first panic (in join
+        // order) is re-raised here, as the sequential executor does.
+        let panic = std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|worker| {
+                    let env = WorkerEnv {
                         graph,
                         ptrs,
-                        hooks: &*hooks,
+                        hooks: &*self.hooks,
                         local: worker,
-                        injector,
-                        stealers,
-                        indegree,
-                        remaining,
-                        idle,
-                        record_slots,
-                        checker,
-                    });
-                });
-            }
+                        injector: &injector,
+                        stealers: &stealers,
+                        indegree: &indegree,
+                        remaining: &remaining,
+                        idle: &idle,
+                        poisoned: &poisoned,
+                        record_slots: &record_slots,
+                        checker: checker.as_ref(),
+                    };
+                    scope.spawn(move || worker_loop(env))
+                })
+                .collect();
+            handles.into_iter().filter_map(|h| h.join().err()).next()
         });
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
 
         assert_eq!(remaining.load(Ordering::SeqCst), 0, "workers exited early");
         record_slots
@@ -223,12 +227,37 @@ struct WorkerEnv<'e> {
     indegree: &'e [AtomicU32],
     remaining: &'e AtomicUsize,
     idle: &'e IdlePark,
+    /// Set when a worker unwinds; every worker then stops.
+    poisoned: &'e AtomicBool,
     record_slots: &'e [Mutex<Option<ExecRecord>>],
     checker: Option<&'e ConflictChecker<'e>>,
 }
 
+/// Poisons the run if its worker unwinds, and wakes the parked
+/// siblings so they see it.
+struct PoisonOnUnwind<'e> {
+    poisoned: &'e AtomicBool,
+    idle: &'e IdlePark,
+}
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.poisoned.store(true, Ordering::SeqCst);
+            self.idle.wake_all();
+        }
+    }
+}
+
 fn worker_loop(env: WorkerEnv<'_>) {
+    let _poison = PoisonOnUnwind {
+        poisoned: env.poisoned,
+        idle: env.idle,
+    };
     loop {
+        if env.poisoned.load(Ordering::SeqCst) {
+            return;
+        }
         if env.remaining.load(Ordering::Acquire) == 0 {
             env.idle.wake_all();
             return;
@@ -528,6 +557,67 @@ mod tests {
                 .kernel(|_| {}),
         );
         Executor::sequential().run(&g, &mut arena);
+    }
+
+    /// A graph whose one panicking task sits among many quick ones,
+    /// so siblings are busy or parked when it fails.
+    fn graph_with_panicking_task(arena: &mut DataArena) -> TaskGraph {
+        let v = arena.alloc("v", 64);
+        let mut g = TaskGraph::new();
+        for i in 0..64 {
+            g.submit(
+                TaskSpec::new("t")
+                    .writes(Region::contiguous(v, i, 1))
+                    .kernel(move |ctx| {
+                        if i == 17 {
+                            panic!("kernel 17 failed");
+                        }
+                        ctx.w(0).set(0, 1.0);
+                    }),
+            );
+        }
+        // A dependent chain keeps the other workers waiting on the
+        // failed task's successors.
+        g.submit(
+            TaskSpec::new("sum")
+                .reads(Region::full(v, 64))
+                .kernel(|_| {}),
+        );
+        g
+    }
+
+    #[test]
+    fn parallel_kernel_panic_propagates_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            for threads in [2, 4] {
+                for _ in 0..100 {
+                    let mut arena = DataArena::new();
+                    let g = graph_with_panicking_task(&mut arena);
+                    let exec = Executor::new(threads).with_conflict_checker(false);
+                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        exec.run(&g, &mut arena);
+                    }));
+                    let message = caught
+                        .expect_err("the kernel panic must reach the caller")
+                        .downcast::<&str>()
+                        .map(|m| m.to_string())
+                        .unwrap_or_default();
+                    assert_eq!(message, "kernel 17 failed", "the first panic is re-raised");
+                }
+            }
+            tx.send(()).expect("the test thread waits for the runs");
+        });
+        // A panic in `runner` drops `tx` (disconnect) and surfaces from
+        // `join`; only a hang runs into the timeout.
+        let waited = rx.recv_timeout(Duration::from_secs(60));
+        assert!(
+            !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "200 panicking runs did not finish within 60 s: the executor hung"
+        );
+        runner
+            .join()
+            .expect("every run panics out with the kernel's message");
     }
 
     #[test]

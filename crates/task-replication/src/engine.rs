@@ -27,7 +27,10 @@ pub struct CheckpointStats {
     pub compares: u64,
     /// Bytes compared.
     pub compare_bytes: u64,
-    /// Output adoptions (replica results or vote winners scattered back).
+    /// Output scatters: a replica's result or a vote winner written
+    /// back over the task's real output regions. Adopting the
+    /// original's own copy scatters nothing — the arena already holds
+    /// it — and is not counted.
     pub restores: u64,
 }
 
@@ -189,6 +192,22 @@ impl ReplicationEngine {
         exec.write_outputs(&snap);
     }
 
+    /// Adopts `copy` as the task's result. The original (attempt 0)
+    /// ran on the real regions and nothing writes them after its
+    /// snapshot (replicas run on shadow storage), so for it the arena
+    /// already holds exactly these outputs and the scatter is skipped.
+    fn adopt(&self, exec: &mut TaskExecution<'_>, copy: &ResultCopy) {
+        if copy.attempt != 0 {
+            self.scatter(exec, &copy.data);
+        }
+    }
+
+    /// Writes `data` over the task's real output regions.
+    fn scatter(&self, exec: &mut TaskExecution<'_>, data: &ShadowData) {
+        exec.write_outputs(data);
+        self.counters.restores.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn compare(&self, a: &ShadowData, b: &ShadowData) -> bool {
         let mut bytes = 0u64;
         let mut equal = true;
@@ -309,8 +328,7 @@ impl ReplicationEngine {
                 // Retry budget exhausted with a single survivor: adopt
                 // it; an SDC in it goes uncompared (honest accounting).
                 let only = &copies[0];
-                exec.write_outputs(&only.data);
-                self.counters.restores.fetch_add(1, Ordering::Relaxed);
+                self.adopt(exec, only);
                 if only.sdc {
                     self.record_fault(task, only.attempt, ErrorClass::Sdc, false);
                     rec.uncovered_sdc = true;
@@ -321,8 +339,7 @@ impl ReplicationEngine {
                 // ③ compare the two copies at the synchronization point.
                 let (a, b) = (&copies[0], &copies[1]);
                 if self.compare(&a.data, &b.data) {
-                    exec.write_outputs(&a.data);
-                    self.counters.restores.fetch_add(1, Ordering::Relaxed);
+                    self.adopt(exec, a);
                     // Bitwise-equal copies cannot carry a (single-bit)
                     // corruption; log any flagged events as covered.
                     for c in &copies {
@@ -420,8 +437,7 @@ impl ReplicationEngine {
                         _ => winner.push(None),
                     }
                 }
-                exec.write_outputs(&winner);
-                self.counters.restores.fetch_add(1, Ordering::Relaxed);
+                self.scatter(exec, &winner);
                 rec.sdc_corrected = unresolved == 0;
                 rec.uncovered_sdc |= unresolved > 0;
                 // Outvoted corruptions are covered; corruption in the
@@ -436,8 +452,7 @@ impl ReplicationEngine {
             None => {
                 // No third copy obtainable: the SDC stands. Keep the
                 // original's copy in place.
-                exec.write_outputs(&a.data);
-                self.counters.restores.fetch_add(1, Ordering::Relaxed);
+                self.adopt(exec, a);
                 rec.uncovered_sdc = true;
                 for cp in &copies {
                     if cp.sdc {

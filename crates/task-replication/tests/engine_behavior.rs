@@ -359,3 +359,144 @@ fn tolerance_comparator_ignores_tiny_divergence() {
     assert!(!report.records[0].sdc_detected, "noise within tolerance");
     assert_eq!(report.records[0].attempts, 2);
 }
+
+/// A three-task chain (square → accumulate → double) over In, Out and
+/// InOut regions: the tasks' outputs feed each other, so a wrong or
+/// missing scatter anywhere shows in the final buffers.
+fn build_chain_graph(arena: &mut DataArena) -> TaskGraph {
+    let input = arena.alloc_from("in", (1..=8).map(|i| i as f64 * 0.75).collect());
+    let squares = arena.alloc("sq", 8);
+    let acc = arena.alloc_from("acc", vec![-0.0; 8]);
+    let doubled = arena.alloc("dbl", 8);
+    let full = |b| Region::full(b, 8);
+    let mut g = TaskGraph::new();
+    g.submit(
+        TaskSpec::new("square")
+            .reads(full(input))
+            .writes(full(squares))
+            .kernel(|ctx| {
+                let x = ctx.r(0);
+                let mut out = ctx.w(1);
+                for i in 0..x.len() {
+                    out.set(i, x.at(i) * x.at(i));
+                }
+            }),
+    );
+    g.submit(
+        TaskSpec::new("accumulate")
+            .reads(full(squares))
+            .updates(full(acc))
+            .kernel(|ctx| {
+                let sq = ctx.r(0);
+                let mut acc = ctx.w(1);
+                for i in 0..sq.len() {
+                    let v = acc.at(i);
+                    acc.set(i, v + sq.at(i) / 3.0);
+                }
+            }),
+    );
+    g.submit(
+        TaskSpec::new("double")
+            .reads(full(acc))
+            .writes(full(doubled))
+            .kernel(|ctx| {
+                let acc = ctx.r(0);
+                let mut out = ctx.w(1);
+                for i in 0..acc.len() {
+                    out.set(i, acc.at(i) * 2.0);
+                }
+            }),
+    );
+    g
+}
+
+/// Every buffer's bits after running the chain with `hooks`.
+fn chain_bits(
+    hooks: Arc<dyn dataflow_rt::ExecutionHooks>,
+) -> (Vec<Vec<u64>>, dataflow_rt::RunReport) {
+    let mut arena = DataArena::new();
+    let g = build_chain_graph(&mut arena);
+    let report = Executor::sequential().with_hooks(hooks).run(&g, &mut arena);
+    let bits = (0..arena.buffer_count())
+        .map(|i| {
+            let id = dataflow_rt::BufferId::from_raw(i as u32);
+            arena.read(id).iter().map(|x| x.to_bits()).collect()
+        })
+        .collect();
+    (bits, report)
+}
+
+/// Adopting the original's copy skips its scatter (the arena already
+/// holds it). Across the fault-free, SDC and DUE paths the arena, the
+/// records and the fault log are what full scatters gave; only
+/// `restores` shows which paths wrote outputs back.
+#[test]
+fn adopting_the_original_skips_the_scatter_without_changing_results() {
+    let plain = Arc::new(ReplicationEngine::new(
+        Arc::new(ReplicateNone),
+        RateModel::roadrunner(),
+    ));
+    let (want_bits, _) = chain_bits(plain);
+    /// Faults scripted on task 1 as `(attempt, class)`.
+    type Faults = Vec<(u32, ErrorClass)>;
+    // (faults, task 1's attempts, sdc_detected, due_recovered, restores).
+    let cases: [(Faults, u32, bool, bool, u64); 6] = [
+        (vec![], 2, false, false, 0),
+        // Corrupted original: the vote winner is scattered.
+        (vec![(0, ErrorClass::Sdc)], 3, true, false, 1),
+        // Corrupted replica: the vote winner is scattered.
+        (vec![(1, ErrorClass::Sdc)], 3, true, false, 1),
+        // Crashed original: the agreeing replica is scattered.
+        (vec![(0, ErrorClass::Due)], 3, false, true, 1),
+        // Crashed replica: the original agrees with the re-execution
+        // and is adopted in place.
+        (vec![(1, ErrorClass::Due)], 3, false, true, 0),
+        // Both crash: two re-executions agree, the first is scattered.
+        (
+            vec![(0, ErrorClass::Due), (1, ErrorClass::Due)],
+            4,
+            false,
+            true,
+            1,
+        ),
+    ];
+    for (faults, attempts, sdc_detected, due_recovered, restores) in cases {
+        let plan = faults
+            .iter()
+            .fold(FaultPlan::new(), |p, &(attempt, class)| {
+                p.with(1, attempt, class)
+            });
+        let engine = Arc::new(
+            ReplicationEngine::new(Arc::new(ReplicateAll), RateModel::roadrunner()).with_faults(
+                Arc::new(plan),
+                InjectionConfig::PerTask {
+                    p_due: 0.0,
+                    p_sdc: 0.0,
+                    p_crash: 0.0,
+                },
+            ),
+        );
+        let log = engine.log();
+        let (bits, report) = chain_bits(engine.clone());
+        let what = format!("faults {faults:?}");
+        assert_eq!(bits, want_bits, "{what}: arena");
+        for rec in &report.records {
+            let hit = rec.task.index() == 1;
+            assert!(rec.replicated, "{what}");
+            assert_eq!(rec.outcome, TaskOutcome::Completed, "{what}");
+            assert_eq!(rec.attempts, if hit { attempts } else { 2 }, "{what}");
+            assert_eq!(rec.sdc_detected, hit && sdc_detected, "{what}");
+            assert_eq!(rec.sdc_corrected, hit && sdc_detected, "{what}");
+            assert_eq!(rec.due_recovered, hit && due_recovered, "{what}");
+            assert!(!rec.uncovered_sdc && !rec.uncovered_due, "{what}");
+        }
+        let events: Vec<_> = log
+            .events()
+            .iter()
+            .map(|e| (e.task, e.attempt, e.class, e.covered))
+            .collect();
+        let want_events: Vec<_> = faults.iter().map(|&(a, c)| (1, a, c, true)).collect();
+        assert_eq!(events, want_events, "{what}: fault log");
+        assert_eq!(engine.stats().restores, restores, "{what}: restores");
+    }
+}

@@ -7,7 +7,10 @@ use dataflow_rt::{DataArena, TaskGraph, TaskSpec};
 
 use crate::kernels::{dgemm_nt, dpotrf, dsyrk_lower, dtrsm_right_lower_trans};
 use crate::matmul::tile;
-use crate::{check_close, no_verify, BuiltWorkload, Scale, Workload, WorkloadKind};
+use crate::{
+    check_close, check_residual, no_verify, probe_vector, tiled_row, BuiltWorkload, Scale,
+    Workload, WorkloadKind,
+};
 
 /// Cholesky parameters.
 #[derive(Debug, Clone, Copy)]
@@ -65,6 +68,77 @@ fn spd_elem(n: usize, r: usize, c: usize) -> f64 {
         .wrapping_add((hi as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9));
     let z = (h ^ (h >> 31)).wrapping_mul(0xd6e8_feb8_6659_fd93);
     (((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5) * 0.9
+}
+
+/// Reference: naive dense Cholesky of the original matrix, compared on
+/// the lower triangle.
+fn dense_check(got: &[f64], cfg: CholeskyConfig) -> Result<(), String> {
+    let (n, nt, b) = (cfg.n, cfg.nt(), cfg.block);
+    let mut dense = vec![0.0; n * n];
+    for r in 0..n {
+        for c in 0..n {
+            dense[r * n + c] = spd_elem(n, r, c);
+        }
+    }
+    crate::kernels::factor::dpotrf(&mut dense, n).map_err(|e| e.to_string())?;
+    let mut row = vec![0.0; n];
+    let mut lower_got = Vec::new();
+    let mut lower_want = Vec::new();
+    for r in 0..n {
+        tiled_row(got, nt, b, r, &mut row);
+        lower_got.extend_from_slice(&row[..=r]);
+        lower_want.extend_from_slice(&dense[r * n..=r * n + r]);
+    }
+    check_close(&lower_got, &lower_want, 1e-8, "cholesky L")
+}
+
+/// Residual check of the factor in the lower triangle: `L·(Lᵀ·x)`
+/// against `A·x` for a fixed probe `x`, with `A` regenerated from
+/// [`spd_elem`]. The tiles above the diagonal still hold `A` and are
+/// not read. O(n²) time, O(n) extra memory, any scale.
+///
+/// Tolerance, per row: blocked Cholesky computes every entry of `L·Lᵀ`
+/// as the same inner product as the point algorithm, in another order,
+/// so `L̂·L̂ᵀ = A + ΔA` with `|ΔA| ≤ γ_{n+1}·|L̂||L̂ᵀ|` (Higham,
+/// Thm. 10.3). The two products add `γ_{2n}·|L̂||L̂ᵀ||x|` and `fl(A·x)`
+/// adds `γ_n·|A||x|`: `|fl(L̂·fl(L̂ᵀ·x)) − fl(A·x)| ≤
+/// γ_{3n+1}·|L̂||L̂ᵀ||x| + γ_n·|A||x|`. The factor 2 covers second-order
+/// terms and the rounding of the bound vectors. A backward-error bound:
+/// the conditioning of `A` does not enter.
+fn residual_check(factor: &[f64], cfg: CholeskyConfig) -> Result<(), String> {
+    let (n, nt, b) = (cfg.n, cfg.nt(), cfg.block);
+    let x = probe_vector(n, 0x4348_4f4c);
+    let mut row = vec![0.0; n];
+    // v = Lᵀ·x and |Lᵀ|·|x|, accumulated row by row of L.
+    let (mut v, mut v_abs) = (vec![0.0; n], vec![0.0; n]);
+    for (r, xr) in x.iter().enumerate() {
+        tiled_row(factor, nt, b, r, &mut row);
+        for c in 0..=r {
+            v[c] += row[c] * xr;
+            v_abs[c] += row[c].abs() * xr.abs();
+        }
+    }
+    // w = L·v, A·x and the bound.
+    let (mut w, mut ax, mut bound) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let (g3n, gn) = (crate::gamma(3 * n + 1), crate::gamma(n));
+    for r in 0..n {
+        tiled_row(factor, nt, b, r, &mut row);
+        let (mut wr, mut wa) = (0.0, 0.0);
+        for c in 0..=r {
+            wr += row[c] * v[c];
+            wa += row[c].abs() * v_abs[c];
+        }
+        let (mut ar, mut aa) = (0.0, 0.0);
+        for (c, xc) in x.iter().enumerate() {
+            let e = spd_elem(n, r, c);
+            ar += e * xc;
+            aa += e.abs() * xc.abs();
+        }
+        w[r] = wr;
+        ax[r] = ar;
+        bound[r] = 2.0 * (g3n * wa + gn * aa);
+    }
+    check_residual(&w, &ax, &bound, "cholesky L·Lᵀ·x vs A·x")
 }
 
 /// The Cholesky benchmark.
@@ -173,34 +247,16 @@ impl Workload for Cholesky {
         }
 
         let placement = vec![0; graph.len()];
-        let verify: crate::Verifier = if materialize && scale == Scale::Small {
-            let (n, ntc, bc) = (cfg.n, nt, b);
-            Box::new(move |arena: &mut DataArena| {
-                // Reference: naive dense Cholesky of the original matrix.
-                let mut dense = vec![0.0; n * n];
-                for r in 0..n {
-                    for c in 0..n {
-                        dense[r * n + c] = spd_elem(n, r, c);
-                    }
-                }
-                crate::kernels::factor::dpotrf(&mut dense, n).map_err(|e| e.to_string())?;
-                // Compare the lower-triangular tiles.
-                let got = arena.read(a).to_vec();
-                let read_tiled = |r: usize, c: usize| {
-                    got[(r / bc * ntc + c / bc) * bc * bc + (r % bc) * bc + (c % bc)]
-                };
-                let mut lower_got = Vec::new();
-                let mut lower_want = Vec::new();
-                for r in 0..n {
-                    for c in 0..=r {
-                        lower_got.push(read_tiled(r, c));
-                        lower_want.push(dense[r * n + c]);
-                    }
-                }
-                check_close(&lower_got, &lower_want, 1e-8, "cholesky L")
-            })
-        } else {
+        let verify: crate::Verifier = if !materialize {
             no_verify()
+        } else {
+            let dense = scale == Scale::Small;
+            Box::new(move |arena: &mut DataArena| {
+                if dense {
+                    dense_check(arena.read(a), cfg)?;
+                }
+                residual_check(arena.read(a), cfg)
+            })
         };
 
         BuiltWorkload {
@@ -216,6 +272,18 @@ impl Workload for Cholesky {
 mod tests {
     use super::*;
     use dataflow_rt::Executor;
+
+    #[test]
+    fn residual_check_catches_a_perturbed_factor() {
+        let mut built = Cholesky.build(Scale::Small, 1, true);
+        Executor::new(2).run(&built.graph, &mut built.arena);
+        let cfg = CholeskyConfig::at(Scale::Small);
+        let a = dataflow_rt::BufferId::from_raw(0);
+        residual_check(built.arena.read(a), cfg).expect("the computed factor passes");
+        let mut factor = built.arena.read(a).to_vec();
+        factor[7 * 24 + 2] *= 1.0 + 1e-9;
+        assert!(residual_check(&factor, cfg).is_err());
+    }
 
     #[test]
     fn small_cholesky_verifies_sequential() {

@@ -5,12 +5,27 @@
 //! The LU kernels omit pivoting, as the BSC SparseLU benchmark does;
 //! the workloads feed diagonally dominant matrices, for which unpivoted
 //! LU is backward stable. DESIGN.md records the simplification.
+//!
+//! As in [`blas`](super::blas), every kernel keeps the reference loop's
+//! per-element operation order, so both CPU instantiations are
+//! bit-identical to it. The
+//! panel solves are rearranged to vectorize; the two diagonal-tile
+//! factorizations keep their loops (one task per elimination step, a
+//! small share of the flops) and only gain the AVX2 instantiation.
 
-/// In-place Cholesky factorization of an `n×n` SPD tile: on return the
-/// lower triangle holds `L` with `A = L·Lᵀ`. The strict upper triangle
-/// is zeroed. Returns `Err` if a non-positive pivot appears (matrix not
-/// positive definite).
-pub fn dpotrf(a: &mut [f64], n: usize) -> Result<(), String> {
+use super::blas::{solve_right_transposed, transpose, transpose_into, RB};
+use super::dispatch::multiversion;
+
+multiversion! {
+    /// In-place Cholesky factorization of an `n×n` SPD tile: on return
+    /// the lower triangle holds `L` with `A = L·Lᵀ`. The strict upper
+    /// triangle is zeroed. Returns `Err` if a non-positive pivot appears
+    /// (matrix not positive definite).
+    pub fn dpotrf(a: &mut [f64], n: usize) -> Result<(), String> => dpotrf_avx2 / dpotrf_body;
+}
+
+#[inline(always)]
+pub(crate) fn dpotrf_body(a: &mut [f64], n: usize) -> Result<(), String> {
     debug_assert_eq!(a.len(), n * n);
     for j in 0..n {
         let mut d = a[j * n + j];
@@ -38,10 +53,15 @@ pub fn dpotrf(a: &mut [f64], n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// In-place unpivoted LU of an `n×n` tile: on return the tile packs a
-/// unit-diagonal `L` (strict lower) and `U` (upper). The `lu0` kernel
-/// of SparseLU.
-pub fn dgetrf_nopiv(a: &mut [f64], n: usize) {
+multiversion! {
+    /// In-place unpivoted LU of an `n×n` tile: on return the tile packs
+    /// a unit-diagonal `L` (strict lower) and `U` (upper). The `lu0`
+    /// kernel of SparseLU.
+    pub fn dgetrf_nopiv(a: &mut [f64], n: usize) => dgetrf_nopiv_avx2 / dgetrf_nopiv_body;
+}
+
+#[inline(always)]
+pub(crate) fn dgetrf_nopiv_body(a: &mut [f64], n: usize) {
     debug_assert_eq!(a.len(), n * n);
     for k in 0..n {
         let pivot = a[k * n + k];
@@ -56,39 +76,67 @@ pub fn dgetrf_nopiv(a: &mut [f64], n: usize) {
     }
 }
 
-/// `B := L⁻¹·B` where `L` is the unit-diagonal lower factor packed in
-/// `lu` (SparseLU's `fwd`: updates a block to the right of the
-/// diagonal).
-pub fn fwd_lower_unit(lu: &[f64], b: &mut [f64], n: usize) {
+multiversion! {
+    /// `B := L⁻¹·B` where `L` is the unit-diagonal lower factor packed
+    /// in `lu` (SparseLU's `fwd`: updates a block to the right of the
+    /// diagonal).
+    ///
+    /// Per element: `b_ij −= l_ik·b_kj` for ascending `k < i`, skipping
+    /// zero `l_ik`. Rows are solved top to bottom (row `k` is final
+    /// before row `i > k` reads it); `RB` columns of the row being
+    /// solved stay in registers across the `k` loop.
+    pub fn fwd_lower_unit(lu: &[f64], b: &mut [f64], n: usize)
+        => fwd_lower_unit_avx2 / fwd_lower_unit_body;
+}
+
+#[inline(always)]
+pub(crate) fn fwd_lower_unit_body(lu: &[f64], b: &mut [f64], n: usize) {
     debug_assert_eq!(lu.len(), n * n);
     debug_assert_eq!(b.len(), n * n);
-    for k in 0..n {
-        for i in k + 1..n {
-            let lik = lu[i * n + k];
-            if lik == 0.0 {
-                continue;
+    let jb = n - n % RB;
+    for i in 0..n {
+        let (done, rest) = b[..n * n].split_at_mut(i * n);
+        let row = &mut rest[..n];
+        let lrow = &lu[i * n..][..i];
+        for j0 in (0..jb).step_by(RB) {
+            let mut acc = [0.0; RB];
+            acc.copy_from_slice(&row[j0..j0 + RB]);
+            for (k, &lik) in lrow.iter().enumerate() {
+                if lik != 0.0 {
+                    for (v, x) in acc.iter_mut().zip(&done[k * n + j0..][..RB]) {
+                        *v -= lik * x;
+                    }
+                }
             }
-            for j in 0..n {
-                b[i * n + j] -= lik * b[k * n + j];
+            row[j0..j0 + RB].copy_from_slice(&acc);
+        }
+        let tail = &mut row[jb..];
+        for (k, &lik) in lrow.iter().enumerate() {
+            if lik != 0.0 {
+                for (v, x) in tail.iter_mut().zip(&done[k * n + jb..(k + 1) * n]) {
+                    *v -= lik * x;
+                }
             }
         }
     }
 }
 
-/// `B := B·U⁻¹` where `U` is the upper factor packed in `lu`
-/// (SparseLU's `bdiv`: updates a block below the diagonal).
-pub fn bdiv_upper(lu: &[f64], b: &mut [f64], n: usize) {
+multiversion! {
+    /// `B := B·U⁻¹` where `U` is the upper factor packed in `lu`
+    /// (SparseLU's `bdiv`: updates a block below the diagonal).
+    ///
+    /// Per element: `v = b_ij`, `v −= b_ik·u_kj` for ascending `k < j`,
+    /// `b_ij = v / u_jj`; solved on a transposed copy of `B`.
+    pub fn bdiv_upper(lu: &[f64], b: &mut [f64], n: usize) => bdiv_upper_avx2 / bdiv_upper_body;
+}
+
+#[inline(always)]
+pub(crate) fn bdiv_upper_body(lu: &[f64], b: &mut [f64], n: usize) {
     debug_assert_eq!(lu.len(), n * n);
     debug_assert_eq!(b.len(), n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let mut v = b[i * n + j];
-            for k in 0..j {
-                v -= b[i * n + k] * lu[k * n + j];
-            }
-            b[i * n + j] = v / lu[j * n + j];
-        }
-    }
+    let mut bt = transpose(b, n);
+    solve_right_transposed(&mut bt, n, |j, k| lu[k * n + j], |j| lu[j * n + j]);
+    transpose_into(&bt, b, n);
 }
 
 #[cfg(test)]

@@ -176,3 +176,57 @@ pub(crate) fn check_close(got: &[f64], want: &[f64], tol: f64, what: &str) -> Re
     }
     Ok(())
 }
+
+/// Unit roundoff of `f64`: half an ulp of 1.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// Higham's `γ_k = k·u / (1 − k·u)` (*Accuracy and Stability of
+/// Numerical Algorithms*, §3.1): the relative bound on the rounding
+/// error of any `k`-term sum or inner product, in any order —
+/// `|fl(xᵀy) − xᵀy| ≤ γ_k·|x|ᵀ|y|`. The residual verifiers derive their
+/// tolerances from it.
+pub(crate) fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * UNIT_ROUNDOFF;
+    ku / (1.0 - ku)
+}
+
+/// A fixed probe vector in `[-1, 1]ⁿ` for Freivalds-style residual
+/// checks (`‖x‖∞ ≤ 1`).
+pub(crate) fn probe_vector(n: usize, seed: u64) -> Vec<f64> {
+    (0..n as u64)
+        .map(|i| {
+            let h = (i + 1)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(seed.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+            let z = (h ^ (h >> 31)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+            ((z >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        })
+        .collect()
+}
+
+/// Copies row `r` of an `nt·b`-square tile-major matrix into `out`.
+pub(crate) fn tiled_row(data: &[f64], nt: usize, b: usize, r: usize, out: &mut [f64]) {
+    let (ti, rr) = (r / b, r % b);
+    for (tj, seg) in out[..nt * b].chunks_exact_mut(b).enumerate() {
+        let base = (ti * nt + tj) * b * b + rr * b;
+        seg.copy_from_slice(&data[base..base + b]);
+    }
+}
+
+/// Checks `|got[r] − want[r]| ≤ bound[r]` for every `r` (a NaN fails).
+pub(crate) fn check_residual(
+    got: &[f64],
+    want: &[f64],
+    bound: &[f64],
+    what: &str,
+) -> Result<(), String> {
+    for (r, ((g, w), b)) in got.iter().zip(want).zip(bound).enumerate() {
+        let err = (g - w).abs();
+        if err > *b || err.is_nan() {
+            return Err(format!(
+                "{what}: row {r}: residual {err:e} exceeds its bound {b:e} ({g} vs {w})"
+            ));
+        }
+    }
+    Ok(())
+}

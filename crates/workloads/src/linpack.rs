@@ -14,7 +14,7 @@ use dataflow_rt::{DataArena, TaskGraph, TaskSpec};
 
 use crate::kernels::{bdiv_upper, dgemm, dgetrf_nopiv, fwd_lower_unit};
 use crate::matmul::tile;
-use crate::{no_verify, BuiltWorkload, Scale, Workload, WorkloadKind};
+use crate::{gamma, no_verify, tiled_row, BuiltWorkload, Scale, Workload, WorkloadKind};
 
 /// Linpack parameters.
 #[derive(Debug, Clone, Copy)]
@@ -85,6 +85,79 @@ fn hpl_elem(n: usize, r: usize, c: usize) -> f64 {
         .wrapping_add((c as u64 + 7).wrapping_mul(0xbf58_476d_1ce4_e5b9));
     let z = (h ^ (h >> 31)).wrapping_mul(0xd6e8_feb8_6659_fd93);
     ((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+}
+
+/// HPL-style check: solve `A·x = b` for `b = A·1` with the computed
+/// factors; the solution must be `1` within a forward-error bound.
+/// `A` is regenerated from [`hpl_elem`]; the factors are read in place.
+/// O(n²) time, O(n) extra memory, any scale.
+///
+/// Tolerance: LU plus the two triangular solves give `x̂` with
+/// `(A + ΔA)·x̂ = b̂`, `|ΔA| ≤ γ_{3n}·|L̂||Û|` (Higham, Thm. 9.4), and
+/// `b̂ = fl(A·1)` errs by at most `γ_n·|A|·1`. So
+/// `‖x̂ − 1‖∞ ≤ ‖A⁻¹‖∞·(γ_n·‖A‖∞ + γ_{3n}·‖|L̂||Û|‖∞·‖x̂‖∞)`, and
+/// since `A` is strictly diagonally dominant by rows,
+/// `‖A⁻¹‖∞ ≤ 1/δ` with `δ = min_r (|a_rr| − Σ_{c≠r} |a_rc|)` (Varah,
+/// 1975) — the conditioning enters through `δ`. Every norm is computed
+/// here; the factor 2 covers second-order terms and their rounding.
+fn hpl_check(factors: &[f64], cfg: LinpackConfig) -> Result<(), String> {
+    let (n, nt, b) = (cfg.n, cfg.nt(), cfg.block);
+    // b = A·1, ‖A‖∞ and the dominance margin δ.
+    let mut rhs = vec![0.0; n];
+    let (mut norm_a, mut delta) = (0.0f64, f64::INFINITY);
+    for (r, rv) in rhs.iter_mut().enumerate() {
+        let mut off = 0.0;
+        for c in 0..n {
+            let e = hpl_elem(n, r, c);
+            *rv += e;
+            if c != r {
+                off += e.abs();
+            }
+        }
+        let diag = hpl_elem(n, r, r).abs();
+        norm_a = norm_a.max(diag + off);
+        delta = delta.min(diag - off);
+    }
+    if delta <= 0.0 {
+        return Err(format!(
+            "linpack: A is not diagonally dominant (δ = {delta})"
+        ));
+    }
+    let mut row = vec![0.0; n];
+    // Forward solve L·y = b (unit lower) and ‖|L̂||Û|‖∞ via |U|·1.
+    let mut y = rhs;
+    let mut u_abs = vec![0.0; n];
+    for r in 0..n {
+        tiled_row(factors, nt, b, r, &mut row);
+        for c in 0..r {
+            y[r] -= row[c] * y[c];
+        }
+        u_abs[r] = row[r..].iter().map(|v| v.abs()).sum();
+    }
+    let mut norm_lu = 0.0f64;
+    for r in 0..n {
+        tiled_row(factors, nt, b, r, &mut row);
+        let lu: f64 = u_abs[r] + (0..r).map(|c| row[c].abs() * u_abs[c]).sum::<f64>();
+        norm_lu = norm_lu.max(lu);
+    }
+    // Back solve U·x = y.
+    let mut x = y;
+    for r in (0..n).rev() {
+        tiled_row(factors, nt, b, r, &mut row);
+        for c in r + 1..n {
+            x[r] -= row[c] * x[c];
+        }
+        x[r] /= row[r];
+    }
+    let norm_x = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let tol = 2.0 * (gamma(n) * norm_a + gamma(3 * n) * norm_lu * norm_x) / delta;
+    for (i, xi) in x.iter().enumerate() {
+        let err = (xi - 1.0).abs();
+        if err > tol || err.is_nan() {
+            return Err(format!("linpack x[{i}] = {xi}, want 1.0 within {tol:e}"));
+        }
+    }
+    Ok(())
 }
 
 /// The Linpack benchmark.
@@ -203,45 +276,8 @@ impl Workload for Linpack {
             }
         }
 
-        let verify: crate::Verifier = if materialize && scale == Scale::Small {
-            let (n, ntc, bc) = (cfg.n, nt, b);
-            Box::new(move |arena: &mut DataArena| {
-                // HPL-style check: solve A·x = b for b = A·1 using the
-                // computed factors; the solution must be ≈ 1, and the
-                // residual small.
-                let factors = arena.read(a).to_vec();
-                let read_lu = |r: usize, c: usize| {
-                    factors[(r / bc * ntc + c / bc) * bc * bc + (r % bc) * bc + (c % bc)]
-                };
-                // b = A₀ · ones.
-                let mut rhs = vec![0.0; n];
-                for (r, rv) in rhs.iter_mut().enumerate() {
-                    for c in 0..n {
-                        *rv += hpl_elem(n, r, c);
-                    }
-                }
-                // Forward solve L·y = b (unit lower).
-                let mut y = rhs.clone();
-                for r in 0..n {
-                    for c in 0..r {
-                        y[r] -= read_lu(r, c) * y[c];
-                    }
-                }
-                // Back solve U·x = y.
-                let mut x = y.clone();
-                for r in (0..n).rev() {
-                    for c in r + 1..n {
-                        x[r] -= read_lu(r, c) * x[c];
-                    }
-                    x[r] /= read_lu(r, r);
-                }
-                for (i, xi) in x.iter().enumerate() {
-                    if (xi - 1.0).abs() > 1e-8 {
-                        return Err(format!("linpack x[{i}] = {xi}, want 1.0"));
-                    }
-                }
-                Ok(())
-            })
+        let verify: crate::Verifier = if materialize {
+            Box::new(move |arena: &mut DataArena| hpl_check(arena.read(a), cfg))
         } else {
             no_verify()
         };
@@ -271,6 +307,18 @@ mod tests {
         } = built;
         Executor::sequential().run(&graph, &mut arena);
         verify(&mut arena).expect("linpack solve");
+    }
+
+    #[test]
+    fn hpl_check_catches_a_perturbed_factor() {
+        let mut built = Linpack.build(Scale::Small, 1, true);
+        Executor::new(2).run(&built.graph, &mut built.arena);
+        let cfg = LinpackConfig::at(Scale::Small);
+        let a = dataflow_rt::BufferId::from_raw(0);
+        hpl_check(built.arena.read(a), cfg).expect("the computed factors pass");
+        let mut factors = built.arena.read(a).to_vec();
+        factors[9 * 16 + 4] *= 1.0 + 1e-6;
+        assert!(hpl_check(&factors, cfg).is_err());
     }
 
     #[test]

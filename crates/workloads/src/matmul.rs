@@ -18,7 +18,10 @@
 use dataflow_rt::{BufferId, DataArena, Region, TaskGraph, TaskSpec};
 
 use crate::kernels::dgemm;
-use crate::{check_close, no_verify, BuiltWorkload, Scale, Workload, WorkloadKind};
+use crate::{
+    check_close, check_residual, no_verify, probe_vector, tiled_row, BuiltWorkload, Scale,
+    Workload, WorkloadKind,
+};
 
 /// MatMul parameters.
 #[derive(Debug, Clone, Copy)]
@@ -100,6 +103,83 @@ fn fill_tiled(data: &mut [f64], which: u64, nt: usize, b: usize) {
             }
         }
     }
+}
+
+/// Naive dense reference: `C = reps × A·B` element by element, for the
+/// tile-major buffers `[A, B, C]`.
+fn dense_check(
+    arena: &mut DataArena,
+    [a, bb, c]: [BufferId; 3],
+    cfg: MatmulConfig,
+) -> Result<(), String> {
+    let (n, nt, b, reps) = (cfg.n, cfg.nt(), cfg.block, cfg.reps);
+    let read_tiled = |data: &[f64], r: usize, cidx: usize| {
+        let (ti, tj) = (r / b, cidx / b);
+        data[(ti * nt + tj) * b * b + (r % b) * b + (cidx % b)]
+    };
+    let av = arena.read(a).to_vec();
+    let bv = arena.read(bb).to_vec();
+    let cv = arena.read(c).to_vec();
+    let mut want = vec![0.0; n * n];
+    for r in 0..n {
+        for k in 0..n {
+            let x = read_tiled(&av, r, k);
+            for col in 0..n {
+                want[r * n + col] += x * read_tiled(&bv, k, col);
+            }
+        }
+    }
+    for w in &mut want {
+        *w *= reps as f64;
+    }
+    let got: Vec<f64> = (0..n * n)
+        .map(|idx| read_tiled(&cv, idx / n, idx % n))
+        .collect();
+    check_close(&got, &want, 1e-10, "matmul C")
+}
+
+/// Freivalds check of the tile-major product `c`: `C·x` against
+/// `reps·A·(B·x)` for a fixed probe `x`, with `A` and `B` regenerated
+/// from [`elem`]. O(n²) time, O(n) extra memory, any scale.
+///
+/// Tolerance, per row `r`, from Higham's `γ_k` ([`crate::gamma`]; all
+/// bounds componentwise): `C` is a sum of `reps·n` rounded products, so
+/// `|Ĉ − reps·AB| ≤ γ_{reps·n}·reps·|A||B|`; `fl(Ĉx)` adds `γ_n·|Ĉ||x|`
+/// and `fl(A·fl(Bx))` adds `γ_{2n}·|A||B||x|`. Hence
+/// `|fl(Ĉx) − reps·fl(A·fl(Bx))| ≤ (γ_{reps·n} + γ_{3n})·reps·(|A||B||x|)_r`
+/// to first order; the factor 2 covers the second-order terms and the
+/// rounding of the bound vector itself (a sum of non-negative terms).
+/// Matrix conditioning does not enter: nothing is solved.
+fn freivalds_check(c: &[f64], cfg: MatmulConfig) -> Result<(), String> {
+    let (n, nt, b) = (cfg.n, cfg.nt(), cfg.block);
+    let reps = cfg.reps as f64;
+    let x = probe_vector(n, 0x4d41_544d);
+    // y = B·x and |B|·|x|.
+    let (mut y, mut y_abs) = (vec![0.0; n], vec![0.0; n]);
+    for k in 0..n {
+        for (col, xc) in x.iter().enumerate() {
+            let v = elem(2, k, col);
+            y[k] += v * xc;
+            y_abs[k] += v.abs() * xc.abs();
+        }
+    }
+    // z = reps·A·y and its bound; w = C·x.
+    let (mut z, mut bound, mut w) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let tol = 2.0 * (crate::gamma(cfg.reps * n) + crate::gamma(3 * n)) * reps;
+    let mut row = vec![0.0; n];
+    for r in 0..n {
+        let (mut zr, mut za) = (0.0, 0.0);
+        for k in 0..n {
+            let v = elem(1, r, k);
+            zr += v * y[k];
+            za += v.abs() * y_abs[k];
+        }
+        z[r] = reps * zr;
+        bound[r] = tol * za;
+        tiled_row(c, nt, b, r, &mut row);
+        w[r] = row.iter().zip(&x).map(|(cv, xc)| cv * xc).sum();
+    }
+    check_residual(&w, &z, &bound, "matmul C·x vs reps·A·(B·x)")
 }
 
 /// The MatMul benchmark.
@@ -211,36 +291,16 @@ impl Workload for Matmul {
             }
         }
 
-        let verify: crate::Verifier = if materialize && scale == Scale::Small {
-            let (n, ntc, bc, reps) = (cfg.n, nt, b, cfg.reps);
-            Box::new(move |arena: &mut DataArena| {
-                // Naive reference: C = reps × A·B.
-                let read_tiled = |data: &[f64], r: usize, cidx: usize| {
-                    let (ti, tj) = (r / bc, cidx / bc);
-                    data[(ti * ntc + tj) * bc * bc + (r % bc) * bc + (cidx % bc)]
-                };
-                let av = arena.read(a).to_vec();
-                let bv = arena.read(bb).to_vec();
-                let cv = arena.read(c).to_vec();
-                let mut want = vec![0.0; n * n];
-                for r in 0..n {
-                    for k in 0..n {
-                        let x = read_tiled(&av, r, k);
-                        for col in 0..n {
-                            want[r * n + col] += x * read_tiled(&bv, k, col);
-                        }
-                    }
-                }
-                for w in &mut want {
-                    *w *= reps as f64;
-                }
-                let got: Vec<f64> = (0..n * n)
-                    .map(|idx| read_tiled(&cv, idx / n, idx % n))
-                    .collect();
-                check_close(&got, &want, 1e-10, "matmul C")
-            })
-        } else {
+        let verify: crate::Verifier = if !materialize {
             no_verify()
+        } else {
+            let dense = scale == Scale::Small;
+            Box::new(move |arena: &mut DataArena| {
+                if dense {
+                    dense_check(arena, [a, bb, c], cfg)?;
+                }
+                freivalds_check(arena.read(c), cfg)
+            })
         };
 
         BuiltWorkload {
@@ -268,6 +328,18 @@ mod tests {
         } = built;
         Executor::new(2).run(&graph, &mut arena);
         verify(&mut arena).expect("matmul results");
+    }
+
+    #[test]
+    fn freivalds_check_catches_a_perturbed_element() {
+        let mut built = Matmul.build(Scale::Small, 1, true);
+        Executor::new(2).run(&built.graph, &mut built.arena);
+        let cfg = MatmulConfig::at(Scale::Small);
+        let c = BufferId::from_raw(2);
+        freivalds_check(built.arena.read(c), cfg).expect("the computed product passes");
+        let mut data = built.arena.read(c).to_vec();
+        data[77] += 1e-6;
+        assert!(freivalds_check(&data, cfg).is_err());
     }
 
     #[test]

@@ -87,12 +87,12 @@ fn render_block(
 ) {
     let inv = 8.0 / width as f64;
     let (fx, fy) = (frame as f64 * 0.17, frame as f64 * 0.13);
-    for (k, v) in out.iter_mut().enumerate() {
+    perlin.fbm2_fill(out, octaves, |k| {
         let px = block_start + k;
         let x = (px % width) as f64 * inv + fx;
         let y = (px / width) as f64 * inv + fy;
-        *v = perlin.fbm2(x, y, octaves);
-    }
+        (x, y)
+    });
 }
 
 /// The Perlin Noise benchmark.

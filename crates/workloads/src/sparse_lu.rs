@@ -12,7 +12,10 @@ use dataflow_rt::{DataArena, TaskGraph, TaskSpec};
 
 use crate::kernels::{bdiv_upper, dgemm, dgetrf_nopiv, fwd_lower_unit};
 use crate::matmul::tile;
-use crate::{check_close, no_verify, BuiltWorkload, Scale, Workload, WorkloadKind};
+use crate::{
+    check_close, check_residual, no_verify, probe_vector, tiled_row, BuiltWorkload, Scale,
+    Workload, WorkloadKind,
+};
 
 /// SparseLU parameters.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +104,73 @@ fn lu_elem(n: usize, nt: usize, b: usize, r: usize, c: usize) -> f64 {
         .wrapping_add((c as u64 + 1).wrapping_mul(0x94d0_49bb_1331_11eb));
     let z = (h ^ (h >> 31)).wrapping_mul(0xd6e8_feb8_6659_fd93);
     ((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+}
+
+/// Reference: dense unpivoted LU of the same initial matrix. Absent
+/// blocks start as zeros, so the dense elimination produces fill-in
+/// exactly where the blocked algorithm tracked it.
+fn dense_check(factors: &[f64], cfg: SparseLuConfig) -> Result<(), String> {
+    let (n, nt, b) = (cfg.n, cfg.nt(), cfg.block);
+    let mut dense = vec![0.0; n * n];
+    for r in 0..n {
+        for c in 0..n {
+            dense[r * n + c] = lu_elem(n, nt, b, r, c);
+        }
+    }
+    dgetrf_nopiv(&mut dense, n);
+    let mut got = vec![0.0; n * n];
+    for (r, row) in got.chunks_exact_mut(n).enumerate() {
+        tiled_row(factors, nt, b, r, row);
+    }
+    check_close(&got, &dense, 1e-6, "sparse LU factors")
+}
+
+/// Residual check of the packed factors: `L·(U·x)` against `A·x` for a
+/// fixed probe `x`, with `A` regenerated from [`lu_elem`]. O(n²) time,
+/// O(n) extra memory, any scale.
+///
+/// Tolerance, per row: the blocked factorization computes every entry
+/// of `L·U` as the same inner product as point LU, in another order, so
+/// `L̂·Û = A + ΔA` with `|ΔA| ≤ γ_n·|L̂||Û|` (Higham, Thm. 9.3). The two
+/// products add `γ_{2n}·|L̂||Û||x|` and `fl(A·x)` adds `γ_n·|A||x|`:
+/// `|fl(L̂·fl(Û·x)) − fl(A·x)| ≤ γ_{3n}·|L̂||Û||x| + γ_n·|A||x|`. The
+/// factor 2 covers second-order terms and the rounding of the bound
+/// vectors. This is a backward-error bound: the matrix's conditioning
+/// does not enter.
+fn residual_check(factors: &[f64], cfg: SparseLuConfig) -> Result<(), String> {
+    let (n, nt, b) = (cfg.n, cfg.nt(), cfg.block);
+    let x = probe_vector(n, 0x5350_4c55);
+    let mut row = vec![0.0; n];
+    // v = U·x and |U|·|x| (U: the upper triangle with the diagonal).
+    let (mut v, mut v_abs) = (vec![0.0; n], vec![0.0; n]);
+    for r in 0..n {
+        tiled_row(factors, nt, b, r, &mut row);
+        for c in r..n {
+            v[r] += row[c] * x[c];
+            v_abs[r] += row[c].abs() * x[c].abs();
+        }
+    }
+    // w = L·v (unit diagonal), A·x and the bound.
+    let (mut w, mut ax, mut bound) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let (g3n, gn) = (crate::gamma(3 * n), crate::gamma(n));
+    for r in 0..n {
+        tiled_row(factors, nt, b, r, &mut row);
+        let (mut wr, mut wa) = (v[r], v_abs[r]);
+        for c in 0..r {
+            wr += row[c] * v[c];
+            wa += row[c].abs() * v_abs[c];
+        }
+        let (mut ar, mut aa) = (0.0, 0.0);
+        for (c, xc) in x.iter().enumerate() {
+            let e = lu_elem(n, nt, b, r, c);
+            ar += e * xc;
+            aa += e.abs() * xc.abs();
+        }
+        w[r] = wr;
+        ax[r] = ar;
+        bound[r] = 2.0 * (g3n * wa + gn * aa);
+    }
+    check_residual(&w, &ax, &bound, "sparse LU L·U·x vs A·x")
 }
 
 /// The SparseLU benchmark.
@@ -231,31 +301,16 @@ impl Workload for SparseLu {
         }
 
         let placement = vec![0; graph.len()];
-        let verify: crate::Verifier = if materialize && scale == Scale::Small {
-            let (n, ntc, bc) = (cfg.n, nt, b);
-            Box::new(move |arena: &mut DataArena| {
-                // Reference: dense unpivoted LU of the same initial
-                // matrix. Absent blocks start as zeros, so the dense
-                // elimination produces fill-in exactly where the blocked
-                // algorithm tracked it.
-                let mut dense = vec![0.0; n * n];
-                for r in 0..n {
-                    for c in 0..n {
-                        dense[r * n + c] = lu_elem(n, ntc, bc, r, c);
-                    }
-                }
-                dgetrf_nopiv(&mut dense, n);
-                let got_tiled = arena.read(a).to_vec();
-                let got: Vec<f64> = (0..n * n)
-                    .map(|idx| {
-                        let (r, c) = (idx / n, idx % n);
-                        got_tiled[(r / bc * ntc + c / bc) * bc * bc + (r % bc) * bc + (c % bc)]
-                    })
-                    .collect();
-                check_close(&got, &dense, 1e-6, "sparse LU factors")
-            })
-        } else {
+        let verify: crate::Verifier = if !materialize {
             no_verify()
+        } else {
+            let dense = scale == Scale::Small;
+            Box::new(move |arena: &mut DataArena| {
+                if dense {
+                    dense_check(arena.read(a), cfg)?;
+                }
+                residual_check(arena.read(a), cfg)
+            })
         };
 
         BuiltWorkload {
@@ -296,6 +351,18 @@ mod tests {
         } = built;
         Executor::new(3).run(&graph, &mut arena);
         verify(&mut arena).expect("sparse LU results");
+    }
+
+    #[test]
+    fn residual_check_catches_a_perturbed_factor() {
+        let mut built = SparseLu.build(Scale::Small, 1, true);
+        Executor::new(2).run(&built.graph, &mut built.arena);
+        let cfg = SparseLuConfig::at(Scale::Small);
+        let a = dataflow_rt::BufferId::from_raw(0);
+        residual_check(built.arena.read(a), cfg).expect("the computed factors pass");
+        let mut factors = built.arena.read(a).to_vec();
+        factors[5 * 16 + 3] *= 1.0 + 1e-9;
+        assert!(residual_check(&factors, cfg).is_err());
     }
 
     #[test]

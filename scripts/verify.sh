@@ -8,6 +8,11 @@
 #   4. the full test suite (unit + integration + property tests),
 #   5. rustdoc with warnings denied (broken intra-doc links fail),
 #   6. the documentation examples as tests,
+#   6b. in release mode, the tile kernels' bit-identity tests (the
+#      vectorized code the benchmarks run, against the scalar
+#      references) and the ignored tests — the Medium-scale gate runs
+#      all nine Table-I apps under replicate-all with seeded faults and
+#      requires every app's verifier to pass with no uncovered fault,
 #   7. a scenario smoke run: record → replay → diff of a tiny preset
 #      through the release binary (the cross-process half of the
 #      trace determinism contract),
@@ -68,6 +73,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 echo "==> cargo test --doc -q"
 cargo test --doc -q
+
+echo "==> kernel bit-identity tests (release)"
+cargo test --release -q -p workloads --lib kernels
+
+echo "==> Medium-scale gate: ignored tests (release)"
+cargo test --release -q -- --ignored
 
 echo "==> scenario smoke (record → replay → diff)"
 smoke_trace="target/verify-smoke.trace"
